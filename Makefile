@@ -4,9 +4,10 @@ GO ?= go
 
 all: vet build test
 
-# Everything CI runs, in order. The race pass covers the packages with
-# concurrent hot paths: the sharded obs histograms and the pacer.
-ci: vet build test test-faults test-parallel test-incidents test-crash
+# Everything CI runs, in order. The race passes cover the packages with
+# concurrent hot paths: the parallel placement scope search (test-race),
+# the sharded obs histograms and the pacer.
+ci: vet build test test-race test-faults test-parallel test-incidents test-crash
 	$(GO) test -race ./internal/obs/... ./internal/pacer/...
 
 vet:
@@ -19,7 +20,8 @@ test:
 	$(GO) test ./...
 
 # Race-checks the packages with concurrent hot paths (the parallel
-# placement scope search and the netcal primitives it leans on).
+# placement scope search, with its per-worker scratch and the shared
+# pristine-scope result, and the netcal primitives it leans on).
 test-race:
 	$(GO) test -race ./internal/placement/... ./internal/netcal/...
 

@@ -21,7 +21,7 @@
 package placement
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/netcal"
 	"repro/internal/topology"
@@ -126,6 +126,8 @@ func queueBoundFast(svcRate float64, st *portState, extra contribution) float64 
 // counts, rolled up per rack and pod. It replaces the map-based
 // distribution on Silo's admission hot path, where layoutValid runs
 // for every candidate scope and map traffic dominated the profile.
+// build reuses the slices, so a search worker's layout stops
+// allocating once its buffers have grown.
 type layout struct {
 	total int
 
@@ -141,23 +143,31 @@ type layout struct {
 	pods     []int // distinct pods, ascending
 	podCnt   []int // VMs in pods[i]
 	podRacks []int // distinct hosting racks in pods[i]
+
+	sorted []int // build's sort buffer for an unsorted server list
 }
 
 func newLayout(tree *topology.Tree, servers []int) layout {
-	sorted := servers
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] < sorted[i-1] {
-			sorted = make([]int, len(servers))
-			copy(sorted, servers)
-			sort.Ints(sorted)
-			break
-		}
+	var lay layout
+	lay.build(tree, servers)
+	return lay
+}
+
+// build summarizes the per-VM server list into lay, overwriting it.
+func (lay *layout) build(tree *topology.Tree, servers []int) {
+	if !slices.IsSorted(servers) {
+		lay.sorted = append(lay.sorted[:0], servers...)
+		slices.Sort(lay.sorted)
+		servers = lay.sorted
 	}
-	lay := layout{total: len(servers)}
-	for i := 0; i < len(sorted); {
-		s := sorted[i]
+	lay.total = len(servers)
+	lay.servers, lay.serverCnt, lay.serverRack = lay.servers[:0], lay.serverCnt[:0], lay.serverRack[:0]
+	lay.racks, lay.rackCnt, lay.rackSrv, lay.rackPod = lay.racks[:0], lay.rackCnt[:0], lay.rackSrv[:0], lay.rackPod[:0]
+	lay.pods, lay.podCnt, lay.podRacks = lay.pods[:0], lay.podCnt[:0], lay.podRacks[:0]
+	for i := 0; i < len(servers); {
+		s := servers[i]
 		j := i
-		for j < len(sorted) && sorted[j] == s {
+		for j < len(servers) && servers[j] == s {
 			j++
 		}
 		cnt := j - i
@@ -184,7 +194,6 @@ func newLayout(tree *topology.Tree, servers []int) layout {
 		lay.podCnt[lay.rackPod[ri]] += cnt
 		i = j
 	}
-	return lay
 }
 
 // span returns the smallest scope containing all of the layout's VMs.

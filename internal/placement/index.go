@@ -14,6 +14,10 @@ type slotIndex struct {
 	freeByRack []int
 	freeByPod  []int
 	totalFree  int
+	// serverSlots, rackSlots and podSlots are a whole server's, rack's
+	// and pod's slot counts: a scope whose free sum equals its count
+	// hosts no VM (see vacant and rackPristine).
+	serverSlots, rackSlots, podSlots int
 	// disabled marks failed servers: their free slots are hidden from
 	// every sum so all search paths avoid them with no extra checks
 	// (a disabled server simply reports zero free slots). hidden holds
@@ -28,21 +32,24 @@ type slotIndex struct {
 func newSlotIndex(tree *topology.Tree) *slotIndex {
 	cfg := tree.Config()
 	ix := &slotIndex{
-		tree:       tree,
-		freeSlots:  make([]int, tree.Servers()),
-		freeByRack: make([]int, tree.Racks()),
-		freeByPod:  make([]int, tree.Pods()),
+		tree:        tree,
+		freeSlots:   make([]int, tree.Servers()),
+		freeByRack:  make([]int, tree.Racks()),
+		freeByPod:   make([]int, tree.Pods()),
+		serverSlots: cfg.SlotsPerServer,
+		rackSlots:   cfg.SlotsPerServer * cfg.ServersPerRack,
+		podSlots:    cfg.SlotsPerServer * cfg.ServersPerRack * cfg.RacksPerPod,
 	}
 	for s := range ix.freeSlots {
-		ix.freeSlots[s] = cfg.SlotsPerServer
+		ix.freeSlots[s] = ix.serverSlots
 	}
 	for r := range ix.freeByRack {
-		ix.freeByRack[r] = cfg.SlotsPerServer * cfg.ServersPerRack
+		ix.freeByRack[r] = ix.rackSlots
 	}
 	for p := range ix.freeByPod {
-		ix.freeByPod[p] = cfg.SlotsPerServer * cfg.ServersPerRack * cfg.RacksPerPod
+		ix.freeByPod[p] = ix.podSlots
 	}
-	ix.totalFree = cfg.SlotsPerServer * tree.Servers()
+	ix.totalFree = ix.serverSlots * tree.Servers()
 	return ix
 }
 
@@ -105,6 +112,26 @@ func (ix *slotIndex) isDisabled(s int) bool {
 	return ix.disabled != nil && ix.disabled[s]
 }
 
+// vacant reports whether server s hosts no VM, failed or not.
+func (ix *slotIndex) vacant(s int) bool {
+	n := ix.freeSlots[s]
+	if ix.isDisabled(s) {
+		n = ix.hidden[s]
+	}
+	return n == ix.serverSlots
+}
+
+// rackPristine reports whether rack r hosts no VM and has no failed
+// server. Its servers' NIC-up and ToR-down ports then carry no
+// traffic, and port rates and capacities are uniform per family, so
+// every pristine rack answers a rack-scope attempt alike, up to the
+// shift of its server indices.
+func (ix *slotIndex) rackPristine(r int) bool { return ix.freeByRack[r] == ix.rackSlots }
+
+// podPristine is rackPristine for pod p: every rack in it is pristine,
+// and so are its rack-up and pod-down ports.
+func (ix *slotIndex) podPristine(p int) bool { return ix.freeByPod[p] == ix.podSlots }
+
 // headroomSlack pads the port-headroom skip test so that float rounding
 // in "aggregate rate + contribution <= line rate" can never disagree
 // with the admission check proper: a scope is skipped only when it
@@ -128,6 +155,7 @@ type headroomIndex struct {
 	podMax    []float64
 	dcMax     float64
 	rackDirty []bool
+	podDirty  []bool
 	anyDirty  bool
 }
 
@@ -136,6 +164,7 @@ func newHeadroomIndex(tree *topology.Tree) *headroomIndex {
 		rackMax:   make([]float64, tree.Racks()),
 		podMax:    make([]float64, tree.Pods()),
 		rackDirty: make([]bool, tree.Racks()),
+		podDirty:  make([]bool, tree.Pods()),
 		anyDirty:  true,
 	}
 	for r := range h.rackDirty {
@@ -158,7 +187,6 @@ func (h *headroomIndex) refresh(m *Manager) {
 		return
 	}
 	t := m.tree
-	dirtyPods := make(map[int]bool)
 	for r := range h.rackDirty {
 		if !h.rackDirty[r] {
 			continue
@@ -172,9 +200,13 @@ func (h *headroomIndex) refresh(m *Manager) {
 			}
 		}
 		h.rackMax[r] = best
-		dirtyPods[t.PodOfRack(r)] = true
+		h.podDirty[t.PodOfRack(r)] = true
 	}
-	for p := range dirtyPods {
+	for p := range h.podDirty {
+		if !h.podDirty[p] {
+			continue
+		}
+		h.podDirty[p] = false
 		rlo, rhi := t.RacksOfPod(p)
 		best := 0.0
 		for r := rlo; r < rhi; r++ {

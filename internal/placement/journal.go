@@ -313,14 +313,14 @@ func (m *Manager) explainScope(spec tenant.Spec, d *Decision, lo, hi int, span s
 	n := spec.VMs
 	maxPer := maxPerServer(n, spec.FaultDomains)
 	servers := make([]int, 0, n)
-	left := n
+	left, distinct := n, 0
 	limS, limK := -1, 0
 	for s := lo; s < hi && left > 0; s++ {
-		capRes := m.maxVMsByResources(spec, s)
+		capRes := m.maxVMsByResources(&spec, s)
 		if capRes > n {
 			capRes = n
 		}
-		capNet := m.maxVMsOnServer(spec, nil, s, span)
+		capNet := m.maxVMsOnServer(&spec, nil, s, span)
 		if limS < 0 && capNet < capRes && capNet < maxPer {
 			limS, limK = s, capNet+1
 		}
@@ -330,6 +330,9 @@ func (m *Manager) explainScope(spec tenant.Spec, d *Decision, lo, hi int, span s
 		}
 		if k > left {
 			k = left
+		}
+		if k > 0 {
+			distinct++
 		}
 		for j := 0; j < k; j++ {
 			servers = append(servers, s)
@@ -352,7 +355,7 @@ func (m *Manager) explainScope(spec tenant.Spec, d *Decision, lo, hi int, span s
 			limS, limK-1, limK, portKind(m.tree, pid), pid, bound*1e6, m.portCap[pid]*1e6)
 		return true
 	}
-	if !faultDomainsOK(servers, spec.FaultDomains) {
+	if distinct < spec.FaultDomains {
 		d.Reason = fmt.Sprintf("fault domains: packing %d VMs lands on fewer than %d servers", n, spec.FaultDomains)
 		return true
 	}
@@ -360,7 +363,7 @@ func (m *Manager) explainScope(spec tenant.Spec, d *Decision, lo, hi int, span s
 	// must be what failed.
 	lay := newLayout(m.tree, servers)
 	violPort, violBound := -1, 0.0
-	m.forEachContribution(spec, lay, func(pid int, c contribution) bool {
+	m.forEachContribution(&spec, &lay, func(pid int, c contribution) bool {
 		if b := m.portBoundWith(pid, c); b > m.portCap[pid]+1e-12 {
 			violPort, violBound = pid, b
 			return false

@@ -126,3 +126,44 @@ func TestNegativeResourceDemandRejected(t *testing.T) {
 		t.Error("negative CPU demand accepted")
 	}
 }
+
+// An emptied server must offer exactly its configured CPU and memory
+// again. Adding and subtracting 0.7 and 0.1 from 4 leaves
+// 3.9999999999999996, which would fit one 2-CPU VM instead of two; the
+// same must hold when the VMs leave a failed server.
+func TestEmptiedServerResourcesExact(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		m := NewManager(resourceTree(t, 4, 4), Options{})
+		for id, cpu := range []float64{0.7, 0.1} {
+			spec := tenant.Spec{ID: id + 1, Name: "f", VMs: 1, CPUPerVM: cpu, MemoryPerVM: cpu}
+			pl, err := m.Place(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.Servers[0] != 0 {
+				t.Fatalf("tenant %d landed on server %d, want 0", id+1, pl.Servers[0])
+			}
+		}
+		if fail {
+			m.FailServers(0)
+		}
+		for id := 1; id <= 2; id++ {
+			if err := m.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fail {
+			m.RestoreServers(0)
+		}
+		if m.freeCPU[0] != 4 || m.freeMem[0] != 4 {
+			t.Fatalf("fail=%v: emptied server 0 has cpu %v mem %v, want 4 and 4", fail, m.freeCPU[0], m.freeMem[0])
+		}
+		pl, err := m.Place(tenant.Spec{ID: 3, Name: "two", VMs: 2, CPUPerVM: 2, MemoryPerVM: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Servers[0] != 0 || pl.Servers[1] != 0 {
+			t.Errorf("fail=%v: two 2-CPU VMs landed on %v, want both on the emptied server 0", fail, pl.Servers)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,18 +51,19 @@ type Options struct {
 	// capacities keep admission composable under churn, §4.2.3).
 	DelayCheckUsesBound bool
 	// Workers caps the goroutines the scope search fans out across
-	// independent rack/pod candidates (and across servers when capping
-	// a datacenter-wide pack). 0 means runtime.GOMAXPROCS(0); 1
-	// restores the fully serial search. Decisions are identical at any
-	// setting: candidate scopes are evaluated without side effects and
-	// the lowest-index success wins, matching serial first-fit order.
+	// independent rack/pod candidates. 0 means runtime.GOMAXPROCS(0);
+	// 1 restores the fully serial search. Decisions are identical at
+	// any setting: candidate scopes are evaluated without side effects
+	// and the lowest-index success wins, matching serial first-fit
+	// order.
 	Workers int
 	// NoFastPath disables the closed-form bound evaluation, the
 	// memoized per-(k, span) contributions, the port-headroom scope
-	// skipping and the parallel search, restoring the reference
-	// curve-materializing admission path. It exists so tests can
-	// replay identical request sequences through both paths and prove
-	// decision equivalence. It forces Workers to 1.
+	// skipping, the pristine-scope reuse and the parallel search,
+	// restoring the reference curve-materializing admission path. It
+	// exists so tests can replay identical request sequences through
+	// both paths and prove decision equivalence. It forces Workers to
+	// 1.
 	NoFastPath bool
 }
 
@@ -104,6 +106,12 @@ type Manager struct {
 	// rack.
 	upLo, upHi     int
 	downLo, downHi int
+
+	// memo is the fast path's per-request table, rebuilt in place by
+	// each admission. scratch holds one set of search buffers per
+	// scope-search worker; scratch[0] also serves the serial search.
+	memo    reqMemo
+	scratch []*searchScratch
 
 	admitted map[int]*admittedTenant
 
@@ -157,6 +165,10 @@ func NewManager(tree *topology.Tree, opts Options) *Manager {
 	if opts.NoFastPath {
 		m.workers = 1
 	}
+	m.scratch = make([]*searchScratch, m.workers)
+	for w := range m.scratch {
+		m.scratch[w] = &searchScratch{}
+	}
 	for pid := 0; pid < tree.NumPorts(); pid++ {
 		p := tree.Port(pid)
 		m.portRate[pid] = p.RateBps
@@ -181,7 +193,7 @@ func NewManager(tree *topology.Tree, opts Options) *Manager {
 
 // takeSlot and freeSlot keep the cached sums consistent, including
 // non-network resources.
-func (m *Manager) takeSlot(server int, spec tenant.Spec) {
+func (m *Manager) takeSlot(server int, spec *tenant.Spec) {
 	m.ix.take(server)
 	if m.freeCPU != nil {
 		m.freeCPU[server] -= spec.CPUPerVM
@@ -191,26 +203,51 @@ func (m *Manager) takeSlot(server int, spec tenant.Spec) {
 	}
 }
 
-func (m *Manager) freeSlot(server int, spec tenant.Spec) {
+// freeSlot returns a VM's slot, CPU and memory. When the server's last
+// VM leaves, CPU and memory reset to the configured capacity rather
+// than keep the float residue of the adds and subtracts: a vacant
+// server must offer exactly what an untouched one does (and a pristine
+// rack must answer like any other, see rackPristine).
+func (m *Manager) freeSlot(server int, spec *tenant.Spec) {
 	m.ix.free(server)
+	vacant := m.ix.vacant(server)
 	if m.freeCPU != nil {
 		m.freeCPU[server] += spec.CPUPerVM
+		if vacant {
+			m.freeCPU[server] = m.tree.Config().CPUPerServer
+		}
 	}
 	if m.freeMem != nil {
 		m.freeMem[server] += spec.MemoryPerVM
+		if vacant {
+			m.freeMem[server] = m.tree.Config().MemoryPerServer
+		}
 	}
 }
 
 // maxVMsByResources caps a server's VM count by slots, CPU and memory.
-func (m *Manager) maxVMsByResources(spec tenant.Spec, server int) int {
-	k := m.ix.freeSlots[server]
+func (m *Manager) maxVMsByResources(spec *tenant.Spec, server int) int {
+	var cpu, mem float64
+	if m.freeCPU != nil {
+		cpu = m.freeCPU[server]
+	}
+	if m.freeMem != nil {
+		mem = m.freeMem[server]
+	}
+	return m.resourceCap(spec, m.ix.freeSlots[server], cpu, mem)
+}
+
+// resourceCap caps a VM count of slots by the given free CPU and
+// memory (each ignored when the topology declares none).
+func (m *Manager) resourceCap(spec *tenant.Spec, slots int, cpu, mem float64) int {
+	k := slots
 	if m.freeCPU != nil && spec.CPUPerVM > 0 {
-		if byCPU := int(m.freeCPU[server] / spec.CPUPerVM); byCPU < k {
+		if byCPU := int(cpu / spec.CPUPerVM); byCPU < k {
 			k = byCPU
 		}
 	}
 	if m.freeMem != nil && spec.MemoryPerVM > 0 {
-		if byMem := int(m.freeMem[server] / spec.MemoryPerVM); byMem < k {
+		if byMem := int(mem / spec.MemoryPerVM); byMem < k {
 			k = byMem
 		}
 	}
@@ -300,7 +337,7 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 		return m.placeBestEffort(spec)
 	}
 
-	servers := m.findPlacement(spec)
+	servers := m.findPlacement(&spec)
 	if servers == nil {
 		if err := m.logMutation(&Mutation{Op: MutReject, TenantID: spec.ID}); err != nil {
 			return nil, err
@@ -315,7 +352,7 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 		return nil, err
 	}
 	pl := &tenant.Placement{Spec: spec, Servers: servers}
-	contribs := m.contributions(spec, servers)
+	contribs := m.contributions(&spec, servers)
 	if m.journal != nil {
 		// Before the port-state mutation below, so BoundBeforeSec sees
 		// the pre-admission aggregates.
@@ -326,7 +363,7 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 		m.portTouched(pid)
 	}
 	for _, s := range servers {
-		m.takeSlot(s, spec)
+		m.takeSlot(s, &spec)
 	}
 	m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: contribs}
 	m.acceptedCount++
@@ -355,7 +392,7 @@ func (m *Manager) detach(at *admittedTenant) {
 		m.portTouched(pid)
 	}
 	for _, s := range at.placement.Servers {
-		m.freeSlot(s, at.placement.Spec)
+		m.freeSlot(s, &at.placement.Spec)
 	}
 	delete(m.admitted, at.placement.Spec.ID)
 }
@@ -365,7 +402,7 @@ func (m *Manager) placeBestEffort(spec tenant.Spec) (*tenant.Placement, error) {
 	if m.freeCPU != nil || m.freeMem != nil {
 		eff = make([]int, len(m.ix.freeSlots))
 		for s := range eff {
-			eff[s] = m.maxVMsByResources(spec, s)
+			eff[s] = m.maxVMsByResources(&spec, s)
 		}
 	}
 	servers := packGreedy(m.tree, eff, m.ix, spec.VMs, spec.FaultDomains)
@@ -395,7 +432,7 @@ func (m *Manager) placeBestEffort(spec tenant.Spec) (*tenant.Placement, error) {
 		})
 	}
 	for _, s := range servers {
-		m.takeSlot(s, spec)
+		m.takeSlot(s, &spec)
 	}
 	m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: map[int]contribution{}}
 	m.acceptedCount++
@@ -420,20 +457,27 @@ type reqMemo struct {
 	// uniform within each family, so one verdict covers every such
 	// server.
 	emptyOK [3][]bool
+	// vacantCap[span] is maxVMsOnServer for any server of a pristine
+	// rack: no traffic on its ports and its full slots, CPU and memory
+	// free. When it is 0, packs step over pristine racks whole.
+	vacantCap [3]int
 }
 
-func (m *Manager) newReqMemo(spec tenant.Spec) *reqMemo {
+// newReqMemo rebuilds the manager's memo for spec and returns it.
+func (m *Manager) newReqMemo(spec *tenant.Spec) *reqMemo {
 	n := spec.VMs
-	maxK := m.tree.Config().SlotsPerServer
-	if maxK > n {
-		maxK = n
-	}
+	cfg := m.tree.Config()
+	maxK := min(cfg.SlotsPerServer, n)
 	g := spec.Guarantee
-	link := m.tree.Config().LinkBps
-	memo := &reqMemo{maxK: maxK, upC: make([]contribution, maxK+1)}
+	link := cfg.LinkBps
+	memo := &m.memo
+	memo.maxK = maxK
+	// The tables are reused across requests; every entry up to maxK is
+	// overwritten below.
+	memo.upC = slices.Grow(memo.upC[:0], maxK+1)[:maxK+1]
 	for span := scopeRack; span <= scopeDC; span++ {
-		memo.downC[span] = make([]contribution, maxK+1)
-		memo.emptyOK[span] = make([]bool, maxK+1)
+		memo.downC[span] = slices.Grow(memo.downC[span][:0], maxK+1)[:maxK+1]
+		memo.emptyOK[span] = slices.Grow(memo.emptyOK[span][:0], maxK+1)[:maxK+1]
 	}
 	for k := 0; k <= maxK; k++ {
 		memo.upC[k] = m.cutContribution(k, n, g, link, 0)
@@ -454,12 +498,29 @@ func (m *Manager) newReqMemo(spec tenant.Spec) *reqMemo {
 				queueBoundFast(m.portRate[downID], &empty, c) <= m.portCap[downID]+1e-12)
 		}
 	}
+	limit := min(m.resourceCap(spec, cfg.SlotsPerServer, cfg.CPUPerServer, cfg.MemoryPerServer), n)
+	for span := scopeRack; span <= scopeDC; span++ {
+		memo.vacantCap[span] = 0
+		for k := limit; k >= 1; k-- {
+			if memo.emptyOK[span][k] {
+				memo.vacantCap[span] = k
+				break
+			}
+		}
+	}
 	return memo
+}
+
+// searchScratch is one scope-search worker's reusable buffers: the
+// per-VM server list a pack or spread builds, and its layout.
+type searchScratch struct {
+	servers []int
+	lay     layout
 }
 
 // findPlacement searches scopes in height order and returns the chosen
 // server per VM, or nil.
-func (m *Manager) findPlacement(spec tenant.Spec) []int {
+func (m *Manager) findPlacement(spec *tenant.Spec) []int {
 	g := spec.Guarantee
 	// Constraint 2 pre-check per scope height: the worst path inside a
 	// scope has a fixed queue-capacity sum; scopes whose sum exceeds d
@@ -473,7 +534,7 @@ func (m *Manager) findPlacement(spec tenant.Spec) []int {
 	// Scope 0: single server (no network traffic, no constraints
 	// beyond slots and fault domains). Racks without enough free slots
 	// cannot contain a server with enough either.
-	if spec.FaultDomains <= 1 {
+	if spec.FaultDomains <= 1 && spec.VMs <= m.ix.serverSlots {
 		for r := 0; r < m.tree.Racks(); r++ {
 			if m.ix.freeByRack[r] < spec.VMs {
 				continue
@@ -507,7 +568,7 @@ func (m *Manager) findPlacement(spec tenant.Spec) []int {
 
 	// Scope 1: single rack.
 	if m.scopeDelayOK(delayBudget, scopeRack) {
-		servers := m.searchScopes(m.tree.Racks(), func(r int) []int {
+		servers := m.searchFirstFit(memo, m.tree.Racks(), m.ix.rackPristine, func(r int, sc *searchScratch) []int {
 			free := m.ix.freeByRack[r]
 			if free < spec.VMs {
 				return nil
@@ -516,7 +577,7 @@ func (m *Manager) findPlacement(spec tenant.Spec) []int {
 				return nil
 			}
 			lo, hi := m.tree.ServersOfRack(r)
-			return m.tryScope(spec, memo, free, lo, hi, scopeRack)
+			return m.tryScope(spec, memo, sc, free, lo, hi, scopeRack)
 		})
 		if servers != nil {
 			return servers
@@ -524,7 +585,7 @@ func (m *Manager) findPlacement(spec tenant.Spec) []int {
 	}
 	// Scope 2: single pod.
 	if m.scopeDelayOK(delayBudget, scopePod) {
-		servers := m.searchScopes(m.tree.Pods(), func(p int) []int {
+		servers := m.searchFirstFit(memo, m.tree.Pods(), m.ix.podPristine, func(p int, sc *searchScratch) []int {
 			free := m.ix.freeByPod[p]
 			if free < spec.VMs {
 				return nil
@@ -535,7 +596,7 @@ func (m *Manager) findPlacement(spec tenant.Spec) []int {
 			rlo, rhi := m.tree.RacksOfPod(p)
 			slo, _ := m.tree.ServersOfRack(rlo)
 			_, shi := m.tree.ServersOfRack(rhi - 1)
-			return m.tryScope(spec, memo, free, slo, shi, scopePod)
+			return m.tryScope(spec, memo, sc, free, slo, shi, scopePod)
 		})
 		if servers != nil {
 			return servers
@@ -546,28 +607,60 @@ func (m *Manager) findPlacement(spec tenant.Spec) []int {
 		if useHeadroom && bw > m.head.dcMax+headroomSlack {
 			return nil
 		}
-		if servers := m.tryScope(spec, memo, m.ix.totalFree, 0, m.tree.Servers(), scopeDC); servers != nil {
+		if servers := m.tryScope(spec, memo, m.scratch[0], m.ix.totalFree, 0, m.tree.Servers(), scopeDC); servers != nil {
 			return servers
 		}
 	}
 	return nil
 }
 
+// searchFirstFit returns the lowest-index success of eval over count
+// candidate scopes, deciding the pristine ones once. Every pristine
+// candidate gives the same answer shifted by its offset, so on the fast
+// path (memo != nil) the first pristine candidate p0 is evaluated
+// alone: if it succeeds only the candidates before it are searched (p0
+// wins if none of them does); if it fails every pristine candidate is
+// dismissed in O(1). NoFastPath evaluates each candidate, which is
+// what proves the shortcut.
+func (m *Manager) searchFirstFit(memo *reqMemo, count int, pristine func(int) bool, eval func(int, *searchScratch) []int) []int {
+	p0 := -1
+	if memo != nil {
+		for i := 0; i < count; i++ {
+			if pristine(i) {
+				p0 = i
+				break
+			}
+		}
+	}
+	if p0 < 0 {
+		return m.searchScopes(count, eval)
+	}
+	if out := eval(p0, m.scratch[0]); out != nil {
+		if early := m.searchScopes(p0, eval); early != nil {
+			return early
+		}
+		return out
+	}
+	return m.searchScopes(count, func(i int, sc *searchScratch) []int {
+		if pristine(i) {
+			return nil
+		}
+		return eval(i, sc)
+	})
+}
+
 // searchScopes evaluates eval(0..count-1) — each a side-effect-free
 // attempt to place within one candidate scope — and returns the result
 // of the lowest-index success, preserving serial first-fit semantics.
 // With more than one worker, candidates are claimed in index order by
-// a pool of goroutines; a worker stops once every index below the best
-// known success has been claimed. All shared manager state is
-// read-only for the duration of the search.
-func (m *Manager) searchScopes(count int, eval func(int) []int) []int {
-	workers := m.workers
-	if workers > count {
-		workers = count
-	}
+// a pool of goroutines, each with its own scratch; a worker stops once
+// every index below the best known success has been claimed. All
+// shared manager state is read-only for the duration of the search.
+func (m *Manager) searchScopes(count int, eval func(int, *searchScratch) []int) []int {
+	workers := min(m.workers, count)
 	if workers <= 1 {
 		for i := 0; i < count; i++ {
-			if out := eval(i); out != nil {
+			if out := eval(i, m.scratch[0]); out != nil {
 				return out
 			}
 		}
@@ -582,14 +675,14 @@ func (m *Manager) searchScopes(count int, eval func(int) []int) []int {
 	best.Store(int64(count))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(sc *searchScratch) {
 			defer wg.Done()
 			for {
 				i := next.Add(1) - 1
 				if i >= int64(count) || i >= best.Load() {
 					return
 				}
-				out := eval(int(i))
+				out := eval(int(i), sc)
 				if out == nil {
 					continue
 				}
@@ -600,7 +693,7 @@ func (m *Manager) searchScopes(count int, eval func(int) []int) []int {
 				}
 				mu.Unlock()
 			}
-		}()
+		}(m.scratch[w])
 	}
 	wg.Wait()
 	if best.Load() == int64(count) {
@@ -647,23 +740,24 @@ func (m *Manager) scopeDelayOK(budget float64, h scopeHeight) bool {
 // the caller's (index-maintained) free-slot sum over that range.
 // Pass 1 packs greedily (per-server count capped by the server-local
 // queuing constraints); pass 2 spreads evenly. Each pass's layout is
-// verified against the full constraint set before being accepted.
-func (m *Manager) tryScope(spec tenant.Spec, memo *reqMemo, free, lo, hi int, span scopeHeight) []int {
+// verified against the full constraint set before being accepted. The
+// passes build in sc; an accepted list is returned as a fresh copy.
+func (m *Manager) tryScope(spec *tenant.Spec, memo *reqMemo, sc *searchScratch, free, lo, hi int, span scopeHeight) []int {
 	if free < spec.VMs {
 		return nil
 	}
 
 	// Pass 1: greedy pack, honoring the per-server VM cap derived from
 	// the server's own up/down port constraints (paper §4.2.3).
-	if servers := m.packWithCaps(spec, memo, lo, hi, span); servers != nil {
-		if m.layoutValid(spec, servers) {
-			return servers
+	if servers := m.packWithCaps(spec, memo, sc, lo, hi, span); servers != nil {
+		if sc.lay.build(m.tree, servers); m.layoutValid(spec, &sc.lay) {
+			return slices.Clone(servers)
 		}
 	}
 	// Pass 2: spread evenly across candidate servers.
-	if servers := m.spreadEven(spec, lo, hi); servers != nil {
-		if m.layoutValid(spec, servers) {
-			return servers
+	if servers := m.spreadEven(spec, sc, lo, hi); servers != nil {
+		if sc.lay.build(m.tree, servers); m.layoutValid(spec, &sc.lay) {
+			return slices.Clone(servers)
 		}
 	}
 	return nil
@@ -674,11 +768,8 @@ func (m *Manager) tryScope(spec tenant.Spec, memo *reqMemo, free, lo, hi int, sp
 // assuming the remaining VMs sit elsewhere (worst case for both
 // ports). span is the scope being attempted, which sets the burst
 // inflation the rest of the tenant's traffic accrues en route.
-func (m *Manager) maxVMsOnServer(spec tenant.Spec, memo *reqMemo, s int, span scopeHeight) int {
-	limit := m.maxVMsByResources(spec, s)
-	if limit > spec.VMs {
-		limit = spec.VMs
-	}
+func (m *Manager) maxVMsOnServer(spec *tenant.Spec, memo *reqMemo, s int, span scopeHeight) int {
+	limit := min(m.maxVMsByResources(spec, s), spec.VMs)
 	if memo == nil {
 		for k := limit; k >= 1; k-- {
 			if m.serverPortsOKRef(spec, s, k, span) {
@@ -720,7 +811,7 @@ func (m *Manager) maxVMsOnServer(spec tenant.Spec, memo *reqMemo, s int, span sc
 
 // serverPortsOKRef is the reference (seed) implementation: it rebuilds
 // the cut contributions and materializes curves on every probe.
-func (m *Manager) serverPortsOKRef(spec tenant.Spec, s, k int, span scopeHeight) bool {
+func (m *Manager) serverPortsOKRef(spec *tenant.Spec, s, k int, span scopeHeight) bool {
 	n := spec.VMs
 	g := spec.Guarantee
 	up := m.tree.ServerUpPort(s)
@@ -737,39 +828,26 @@ func (m *Manager) serverPortsOKRef(spec tenant.Spec, s, k int, span scopeHeight)
 	return m.portOK(down, downC)
 }
 
-// capParallelMin is the candidate-range size above which packWithCaps
-// computes per-server caps with the worker pool (only the datacenter
-// scope reaches it on realistic topologies).
-const capParallelMin = 2048
-
-// packWithCaps fills candidate servers in order, each up to its cap.
-func (m *Manager) packWithCaps(spec tenant.Spec, memo *reqMemo, lo, hi int, span scopeHeight) []int {
-	servers := make([]int, 0, spec.VMs)
+// packWithCaps fills candidate servers [lo, hi), which span whole
+// racks, in order, each up to its cap, into sc.servers. On the fast
+// path, when a pristine rack's servers would all be capped at 0
+// (memo.vacantCap), the rack is stepped over whole, so a
+// datacenter-wide pack costs O(occupied racks).
+func (m *Manager) packWithCaps(spec *tenant.Spec, memo *reqMemo, sc *searchScratch, lo, hi int, span scopeHeight) []int {
+	servers := sc.servers[:0]
 	left := spec.VMs
+	distinct := 0
 	maxPer := maxPerServer(spec.VMs, spec.FaultDomains)
-	if m.workers > 1 && memo != nil && hi-lo >= capParallelMin {
-		caps := m.parallelCaps(spec, memo, lo, hi, span)
-		for i := 0; i < len(caps) && left > 0; i++ {
-			k := caps[i]
-			if k > maxPer {
-				k = maxPer
-			}
-			if k > left {
-				k = left
-			}
-			for j := 0; j < k; j++ {
-				servers = append(servers, lo+i)
-			}
-			left -= k
+	skipPristine := memo != nil && memo.vacantCap[span] == 0
+	for r := m.tree.RackOfServer(lo); r <= m.tree.RackOfServer(hi-1) && left > 0; r++ {
+		if skipPristine && m.ix.rackPristine(r) {
+			continue
 		}
-	} else {
-		for s := lo; s < hi && left > 0; s++ {
-			k := m.maxVMsOnServer(spec, memo, s, span)
-			if k > maxPer {
-				k = maxPer
-			}
-			if k > left {
-				k = left
+		rlo, rhi := m.tree.ServersOfRack(r)
+		for s := rlo; s < rhi && left > 0; s++ {
+			k := min(m.maxVMsOnServer(spec, memo, s, span), maxPer, left)
+			if k > 0 {
+				distinct++
 			}
 			for j := 0; j < k; j++ {
 				servers = append(servers, s)
@@ -777,78 +855,36 @@ func (m *Manager) packWithCaps(spec tenant.Spec, memo *reqMemo, lo, hi int, span
 			left -= k
 		}
 	}
-	if left > 0 {
-		return nil
-	}
-	if !faultDomainsOK(servers, spec.FaultDomains) {
+	sc.servers = servers
+	if left > 0 || distinct < spec.FaultDomains {
 		return nil
 	}
 	return servers
 }
 
-// parallelCaps computes maxVMsOnServer for servers [lo, hi) across the
-// worker pool. Per-server caps are independent and read shared state
-// only, so the result is identical to the serial computation.
-func (m *Manager) parallelCaps(spec tenant.Spec, memo *reqMemo, lo, hi int, span scopeHeight) []int {
-	caps := make([]int, hi-lo)
-	const block = 1024
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < m.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)-1) * block
-				if b >= len(caps) {
-					return
-				}
-				e := b + block
-				if e > len(caps) {
-					e = len(caps)
-				}
-				for i := b; i < e; i++ {
-					caps[i] = m.maxVMsOnServer(spec, memo, lo+i, span)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return caps
-}
-
-// spreadEven distributes VMs round-robin over servers [lo, hi) with
-// free capacity.
-func (m *Manager) spreadEven(spec tenant.Spec, lo, hi int) []int {
-	remaining := make([]int, hi-lo)
-	total := 0
-	for i := range remaining {
-		remaining[i] = m.maxVMsByResources(spec, lo+i)
-		total += remaining[i]
-	}
-	if total < spec.VMs {
-		return nil
-	}
-	servers := make([]int, 0, spec.VMs)
-	left := spec.VMs
-	for left > 0 {
-		progress := false
-		for i := range remaining {
-			if left == 0 {
-				break
-			}
-			if remaining[i] > 0 {
-				servers = append(servers, lo+i)
-				remaining[i]--
-				left--
-				progress = true
+// spreadEven deals VMs round-robin over servers [lo, hi), into
+// sc.servers: round p takes, in index order, every server whose
+// resource cap exceeds p, until all VMs are dealt. It fails when a
+// round makes no progress (the range is out of capacity).
+func (m *Manager) spreadEven(spec *tenant.Spec, sc *searchScratch, lo, hi int) []int {
+	servers := sc.servers[:0]
+	distinct := 0
+	for p := 0; len(servers) < spec.VMs; p++ {
+		dealt := len(servers)
+		for s := lo; s < hi && len(servers) < spec.VMs; s++ {
+			if m.maxVMsByResources(spec, s) > p {
+				servers = append(servers, s)
 			}
 		}
-		if !progress {
-			return nil
+		if len(servers) == dealt {
+			break
+		}
+		if p == 0 {
+			distinct = len(servers)
 		}
 	}
-	if !faultDomainsOK(servers, spec.FaultDomains) {
+	sc.servers = servers
+	if len(servers) < spec.VMs || distinct < spec.FaultDomains {
 		return nil
 	}
 	return servers
@@ -858,8 +894,7 @@ func (m *Manager) spreadEven(spec tenant.Spec, lo, hi int) []int {
 // every port the tenant touches must keep queue bound <= queue
 // capacity with the tenant's contribution added, and every intra-
 // tenant path must satisfy the delay constraint.
-func (m *Manager) layoutValid(spec tenant.Spec, servers []int) bool {
-	lay := newLayout(m.tree, servers)
+func (m *Manager) layoutValid(spec *tenant.Spec, lay *layout) bool {
 	ok := m.forEachContribution(spec, lay, func(pid int, c contribution) bool {
 		return m.portBoundWith(pid, c) <= m.portCap[pid]+1e-12
 	})
@@ -998,7 +1033,7 @@ func (m *Manager) inflation(span scopeHeight, level topology.Level, dir topology
 // port); the return value reports whether the walk ran to completion.
 // Port rates and queue capacities are uniform within each level of the
 // tree, so ingress capacities use representative ports.
-func (m *Manager) forEachContribution(spec tenant.Spec, lay layout, fn func(pid int, c contribution) bool) bool {
+func (m *Manager) forEachContribution(spec *tenant.Spec, lay *layout, fn func(pid int, c contribution) bool) bool {
 	g := spec.Guarantee
 	n := lay.total
 	t := m.tree
@@ -1098,9 +1133,10 @@ func (m *Manager) forEachContribution(spec tenant.Spec, lay layout, fn func(pid 
 // contributions materializes the per-port contribution map for a
 // placement (used when committing and when auditing, not in the search
 // hot path).
-func (m *Manager) contributions(spec tenant.Spec, servers []int) map[int]contribution {
+func (m *Manager) contributions(spec *tenant.Spec, servers []int) map[int]contribution {
 	out := make(map[int]contribution)
-	m.forEachContribution(spec, newLayout(m.tree, servers), func(pid int, c contribution) bool {
+	lay := newLayout(m.tree, servers)
+	m.forEachContribution(spec, &lay, func(pid int, c contribution) bool {
 		out[pid] = c
 		return true
 	})
@@ -1132,7 +1168,7 @@ func (m *Manager) VerifyInvariants() error {
 			// contribute no arrival curves (paper §4.4).
 			continue
 		}
-		for pid, c := range m.contributions(at.placement.Spec, at.placement.Servers) {
+		for pid, c := range m.contributions(&at.placement.Spec, at.placement.Servers) {
 			fresh[pid].add(c)
 		}
 	}
