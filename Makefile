@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet build test test-race test-faults test-parallel test-incidents test-crash soak bench-placement bench-obs bench-telemetry bench-introspect bench-incident bench-runtime bench-wal regress baselines
+.PHONY: all ci vet build test test-race test-faults test-parallel test-incidents test-crash soak bench-placement bench-paced bench-obs bench-telemetry bench-introspect bench-incident bench-runtime bench-wal regress baselines
 
 all: vet build test
 
@@ -40,9 +40,12 @@ test-faults:
 # simulator and requires byte-identical results. Runtime covers the
 # engine self-observability plane: the busy+stall accounting property
 # at workers {1,2,4,8}, probe-on determinism, probing under injected
-# island faults, and the hot-pod straggler analysis.
+# island faults, and the hot-pod straggler analysis. The transport gate
+# (TestTransportParallelEquivalence) runs paced Silo and TCP incast over
+# the island engine, covering timers and packet/segment recycling
+# across islands.
 test-parallel:
-	$(GO) test -race -run 'Parallel|GlobalEvents|CrossIsland|Runtime|SimCounters|HotPod' ./internal/netsim/ ./internal/experiments/ ./internal/faults/
+	$(GO) test -race -run 'Parallel|GlobalEvents|CrossIsland|Runtime|SimCounters|HotPod|TestTransportParallelEquivalence|TestTimerMatchesClosurePerArm' ./internal/netsim/ ./internal/experiments/ ./internal/faults/ ./internal/transport/
 
 # The incident-correlation suite: the correlator's clustering and
 # verdict unit tests, the end-to-end proofs (ToR-death drill verdicts
@@ -72,6 +75,12 @@ soak:
 # bench_all_output.txt (see README.md "Placement at scale").
 bench-placement:
 	$(GO) test -run '^$$' -bench 'BenchmarkPlacement100K|BenchmarkPlaceRemoveChurn|BenchmarkQueueBound$$' -benchmem .
+
+# The paced Silo data path (transport + pacer + event loop) per
+# simulated millisecond of 2 Gbps bulk transfer; allocs/op must be 0
+# (TestPacedTransportSteadyState gates it in the plain test run).
+bench-paced:
+	$(GO) test -run '^$$' -bench BenchmarkPacedTransport -benchmem ./internal/transport/
 
 # Asserts the metrics core costs zero allocations per observation on
 # both the enabled and disabled paths (see README.md "Observability").

@@ -82,8 +82,8 @@ type Host struct {
 	// FreeOnDeliver recycles every delivered data packet into the
 	// host's island arena after OnDeliver/Deliver return. Enable only
 	// when the delivery path retains nothing (benchmarks, generator
-	// workloads); transports that keep payload references must leave
-	// it off.
+	// workloads). Leave it off under a Deliver hook that frees packets
+	// itself (transport.Fabric) or keeps payload references.
 	FreeOnDeliver bool
 
 	// FaultDropped counts packets this host lost to its own failure
@@ -235,8 +235,17 @@ func (h *Host) armLoop(t int64) {
 	h.sim.schedule(t, evtHostLoop, h.loopGen, nil, nil, h, nil)
 }
 
-// wirePacket lays one batch frame on the NIC at its wire time.
-func (h *Host) wirePacket(p *Packet) {
+// wirePacket lays one batch frame on the NIC at its wire time: data
+// packet p, or when p is nil a void frame of voidBytes, taken from the
+// arena only now so a batch's voids are not held for its whole span.
+func (h *Host) wirePacket(p *Packet, voidBytes int) {
+	if p == nil {
+		p = h.sim.AllocPacket()
+		p.Src = h.ID
+		p.Dst = -1
+		p.Size = voidBytes
+		p.Void = true
+	}
 	p.SentAt = h.sim.Now()
 	if !p.Void && h.OnPacedWire != nil {
 		h.OnPacedWire(p)
@@ -267,19 +276,18 @@ func (h *Host) batchLoop() {
 		h.armLoop(earliest)
 		return
 	}
+	// The batch is the pacer's reused one and its data frames go back
+	// to their VMs here: everything the wire needs is copied onto the
+	// netsim packets first.
 	for _, fp := range batch.Packets {
-		var np *Packet
 		if fp.Void {
-			np = h.sim.AllocPacket()
-			np.Src = h.ID
-			np.Dst = -1
-			np.Size = fp.Bytes
-			np.Void = true
-		} else {
-			np = fp.Ref.(*Packet)
-			np.PacedRelease = fp.Release
-			np.Gate = fp.Gate
+			h.sim.schedule(fp.Wire, evtHostWire, uint64(fp.Bytes), nil, nil, h, nil)
+			continue
 		}
+		np := fp.Ref.(*Packet)
+		np.PacedRelease = fp.Release
+		np.Gate = fp.Gate
+		h.vms[fp.SrcVM].Recycle(fp)
 		h.sim.schedule(fp.Wire, evtHostWire, 0, nil, nil, h, np)
 	}
 	h.sim.At(batch.End, h.batchLoopFn)

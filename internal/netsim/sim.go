@@ -12,11 +12,13 @@
 //
 // The event loop is allocation-free in steady state: event nodes are
 // recycled through a freelist, the queue/host hot paths schedule typed
-// events (no per-hop closures), and packets can be arena-allocated via
-// AllocPacket/FreePacket. A Sim either runs standalone (the classic
-// sequential engine) or as one island of a ParallelSim (see psim.go),
-// where inter-island packet arrivals cross through per-epoch outboxes
-// instead of the local heap.
+// events (no per-hop closures), packets can be arena-allocated via
+// AllocPacket/FreePacket, and deadlines that move on every packet (the
+// transport's retransmission timers) re-arm one Timer node instead of
+// scheduling a closure per arm. A Sim either runs standalone (the
+// classic sequential engine) or as one island of a ParallelSim (see
+// psim.go), where inter-island packet arrivals cross through per-epoch
+// outboxes instead of the local heap.
 //
 // Time is int64 nanoseconds.
 package netsim
@@ -36,11 +38,15 @@ const (
 	// evtArrive: ev.p finished propagating on ev.q's link; deliver to
 	// ev.q.Next unless the link failed since (ev.gen snapshot).
 	evtArrive
-	// evtHostWire: the pacer batch loop lays ev.p on ev.h's wire.
+	// evtHostWire: the pacer batch loop lays ev.p on ev.h's wire (a
+	// void frame of ev.gen bytes when ev.p is nil).
 	evtHostWire
 	// evtHostLoop: re-arm of ev.h's batch loop (ev.gen is the loop
 	// generation; stale wakes are ignored).
 	evtHostLoop
+	// evtTimer: a Timer's own node surfaced; ev.fn is its bound fire
+	// method. The node belongs to the Timer and is never released.
+	evtTimer
 )
 
 // event is one scheduled occurrence. Nodes are recycled via the Sim's
@@ -62,9 +68,11 @@ type event struct {
 // a 1500 B frame at 10 Gbps), propagation (hundreds of ns), generator
 // gaps, crossing-link lookahead (a few µs) — fits the span, so the
 // per-event queue cost is a bitmap probe and a list append instead of
-// a heap sift. Events farther out (RTO timers, telemetry windows,
-// fault schedules) go to a small 4-ary overflow heap and execute from
-// there directly; they are rare enough not to matter.
+// a heap sift. Events farther out (telemetry windows, fault schedules,
+// generator rounds) go to a 4-ary overflow heap and execute from there
+// directly. Retransmission timers are re-armed on every ack and would
+// flood that heap with dead closures; they use Timer (timer.go), which
+// keeps one node per timer in the heap however often it is re-armed.
 const (
 	wheelBits  = 12
 	wheelSpan  = 1 << wheelBits
@@ -240,19 +248,36 @@ func (s *Sim) popSlot(slot int64) *event {
 // farPush inserts ev at key (t, seq) into the overflow heap (4-ary:
 // half the sift depth of a binary heap, children cache-adjacent).
 func (s *Sim) farPush(t int64, seq uint64, ev *event) {
-	h := append(s.far, heapEnt{})
-	i := len(h) - 1
+	s.far = append(s.far, heapEnt{})
+	s.farUp(len(s.far)-1, heapEnt{t: t, seq: seq, ev: ev})
+}
+
+// farMove lowers queued node ev's key to (t, seq), which must not be
+// later than its current one. The scan is linear, but only a Timer
+// whose deadline moves earlier than its queued node calls it.
+func (s *Sim) farMove(ev *event, t int64, seq uint64) {
+	for i := range s.far {
+		if s.far[i].ev == ev {
+			ev.seq = seq
+			s.farUp(i, heapEnt{t: t, seq: seq, ev: ev})
+			return
+		}
+	}
+}
+
+// farUp places e at slot i or above, shifting larger parents down.
+func (s *Sim) farUp(i int, e heapEnt) {
+	h := s.far
 	for i > 0 {
 		parent := (i - 1) >> 2
 		pe := h[parent]
-		if pe.t < t || (pe.t == t && pe.seq < seq) {
+		if pe.t < e.t || (pe.t == e.t && pe.seq < e.seq) {
 			break
 		}
 		h[i] = pe
 		i = parent
 	}
-	h[i] = heapEnt{t: t, seq: seq, ev: ev}
-	s.far = h
+	h[i] = e
 }
 
 // farPop removes and returns the overflow heap's earliest event; the
@@ -367,15 +392,17 @@ func (s *Sim) exec(ev *event) {
 		s.release(ev)
 		q.arrive(p, gen)
 	case evtHostWire:
-		h, p := ev.h, ev.p
+		h, p, n := ev.h, ev.p, ev.gen
 		s.release(ev)
-		h.wirePacket(p)
+		h.wirePacket(p, int(n))
 	case evtHostLoop:
 		h, gen := ev.h, ev.gen
 		s.release(ev)
 		if h.loopGen == gen {
 			h.batchLoop()
 		}
+	case evtTimer:
+		ev.fn()
 	}
 }
 

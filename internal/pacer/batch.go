@@ -48,6 +48,12 @@ type Batcher struct {
 	// Metrics, if set, observes every non-empty batch (batch, byte and
 	// frame counters). nil costs one branch per Build.
 	Metrics *BatchMetrics
+
+	// batch and voids are reused by every Build: voids[:nVoid] are the
+	// void frames of the current batch.
+	batch Batch
+	voids []*Packet
+	nVoid int
 }
 
 // NewBatcher returns a batcher with the paper's defaults for the given
@@ -77,9 +83,16 @@ func (b *Batcher) gapBytes(ns int64) int {
 // departs within one MinVoidBytes slot of its stamp; per the paper,
 // voids are only generated while another data packet is waiting, so an
 // idle tail generates no filler.
+//
+// The returned batch and its void frames belong to the Batcher and are
+// overwritten by the next Build: consume a batch (or copy what you
+// need) before building the next one. Its data frames are the VMs'
+// own and stay valid until handed to VM.Recycle.
 func (b *Batcher) Build(start int64, vms []*VM) *Batch {
 	end := start + b.BatchNs
-	batch := &Batch{Start: start}
+	batch := &b.batch
+	*batch = Batch{Packets: batch.Packets[:0], Start: start}
+	b.nVoid = 0
 	cursor := start
 
 	// Commit release stamps chronologically up to the batch horizon.
@@ -145,19 +158,29 @@ func (b *Batcher) pad(batch *Batch, cursor int64, gap int) int64 {
 				n = gap
 			}
 		}
-		v := &Packet{Bytes: n, Void: true, Wire: cursor}
-		batch.Packets = append(batch.Packets, v)
+		batch.Packets = append(batch.Packets, b.void(n, cursor))
 		batch.VoidBytes += n
 		cursor += b.wireNs(n)
 		gap -= n
 	}
 	if gap >= MinVoidBytes/2 {
-		v := &Packet{Bytes: MinVoidBytes, Void: true, Wire: cursor}
-		batch.Packets = append(batch.Packets, v)
+		batch.Packets = append(batch.Packets, b.void(MinVoidBytes, cursor))
 		batch.VoidBytes += MinVoidBytes
 		cursor += b.wireNs(MinVoidBytes)
 	}
 	return cursor
+}
+
+// void returns the next pooled void frame, set to n bytes at wire
+// time at.
+func (b *Batcher) void(n int, at int64) *Packet {
+	if b.nVoid == len(b.voids) {
+		b.voids = append(b.voids, new(Packet))
+	}
+	v := b.voids[b.nVoid]
+	b.nVoid++
+	*v = Packet{Bytes: n, Void: true, Wire: at}
+	return v
 }
 
 // HostPacer couples a NIC batcher with the VMs it serves and emulates

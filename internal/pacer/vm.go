@@ -16,14 +16,14 @@ type Packet struct {
 	// Void marks a spacer frame (MAC src == MAC dst) that the first
 	// switch drops.
 	Void bool
-	// Release is the earliest ns at which the frame may leave the NIC,
-	// assigned when the scheduler commits the packet (-1 while it
-	// waits in its destination queue).
-	Release int64
 	// Gate records which token bucket determined Release (Gate*
 	// constants; GateNone when the packet was immediately feasible).
 	// Set at commit time; flight-recorder attribution reads it.
 	Gate uint8
+	// Release is the earliest ns at which the frame may leave the NIC,
+	// assigned when the scheduler commits the packet (-1 while it
+	// waits in its destination queue).
+	Release int64
 	// Wire is the ns at which the batcher actually laid the frame on
 	// the wire (set during batch building).
 	Wire int64
@@ -31,8 +31,9 @@ type Packet struct {
 	// the simulator's packet).
 	Ref interface{}
 
-	enq int64  // enqueue time
-	seq uint64 // FIFO tiebreak within equal Release
+	enq  int64   // enqueue time
+	seq  uint64  // FIFO tiebreak within equal Release
+	next *Packet // destination-FIFO or freelist link
 }
 
 // MinVoidBytes is the smallest legal Ethernet frame including preamble
@@ -85,17 +86,20 @@ type VM struct {
 	g   Guarantee
 	cap *TokenBucket // Bmax
 	avg *TokenBucket // {B, S}
-	dst map[int]*TokenBucket
 
-	queues  map[int][]*Packet // per-destination FIFO of unscheduled packets
+	// Per-destination state: dests looks a destination up, dlist holds
+	// the same records densely (first-touch order) for the scheduling
+	// scans, which visit every destination on every commit.
+	dests   map[int]*dstQueue
+	dlist   []*dstQueue
 	queued  int
 	ready   packetHeap // committed packets in release order
 	seq     uint64
 	horizon int64 // all packets with release <= horizon are committed
 
-	// Demand accounting for the hose coordinator.
-	queuedBytes map[int]int64 // per-destination bytes awaiting commit
-	sentBytes   map[int]int64 // per-destination cumulative committed bytes
+	// free lists data frames handed back through Recycle (linked
+	// through Packet.next) for Enqueue to reuse.
+	free *Packet
 
 	queuedTotal int64      // bytes awaiting commit across all destinations
 	mx          *VMMetrics // nil = uninstrumented (one branch per event)
@@ -103,6 +107,42 @@ type VM struct {
 	// onCommit, if set, observes every committed emission (release
 	// stamp, wire bytes) — the introspection plane's envelope tap.
 	onCommit func(releaseNs int64, bytes int)
+}
+
+// dstQueue is one destination's state: the FIFO of packets awaiting
+// commit (linked through Packet.next), its hose bucket, and the demand
+// counters the hose coordinator reads.
+type dstQueue struct {
+	dst        int
+	head, tail *Packet
+	bucket     *TokenBucket // nil: no per-destination limit
+	// queuedBytes awaits commit; sentBytes is the cumulative committed
+	// total. used marks a destination traffic was ever queued toward
+	// (SetDestRate alone creates the record without it).
+	queuedBytes, sentBytes int64
+	used                   bool
+}
+
+func (q *dstQueue) push(p *Packet) {
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+}
+
+// pop removes the FIFO head and clears its link, so a dequeued packet
+// neither stays reachable from the queue nor keeps its successors
+// reachable.
+func (q *dstQueue) pop() *Packet {
+	p := q.head
+	q.head = p.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	p.next = nil
+	return p
 }
 
 // NewVM returns a pacer for one VM, with buckets full at time start.
@@ -115,15 +155,23 @@ func NewVM(id int, g Guarantee, start int64) *VM {
 		burst = g.MTUBytes // a bucket must admit at least one packet
 	}
 	return &VM{
-		ID:          id,
-		g:           g,
-		cap:         NewTokenBucket(g.BurstRateBps, g.MTUBytes, start),
-		avg:         NewTokenBucket(g.BandwidthBps, burst, start),
-		dst:         make(map[int]*TokenBucket),
-		queues:      make(map[int][]*Packet),
-		queuedBytes: make(map[int]int64),
-		sentBytes:   make(map[int]int64),
+		ID:    id,
+		g:     g,
+		cap:   NewTokenBucket(g.BurstRateBps, g.MTUBytes, start),
+		avg:   NewTokenBucket(g.BandwidthBps, burst, start),
+		dests: make(map[int]*dstQueue),
 	}
+}
+
+// dest returns dst's record, creating it on first touch.
+func (v *VM) dest(dst int) *dstQueue {
+	q, ok := v.dests[dst]
+	if !ok {
+		q = &dstQueue{dst: dst}
+		v.dests[dst] = q
+		v.dlist = append(v.dlist, q)
+	}
+	return q
 }
 
 // Guarantee returns the VM's pacer configuration.
@@ -142,21 +190,29 @@ func (v *VM) SetMetrics(m *VMMetrics) { v.mx = m }
 func (v *VM) SetCommitTap(fn func(releaseNs int64, bytes int)) { v.onCommit = fn }
 
 // QueuedBytesTo reports bytes awaiting release toward dst.
-func (v *VM) QueuedBytesTo(dst int) int64 { return v.queuedBytes[dst] }
+func (v *VM) QueuedBytesTo(dst int) int64 {
+	if q, ok := v.dests[dst]; ok {
+		return q.queuedBytes
+	}
+	return 0
+}
 
 // SentBytesTo reports cumulative bytes committed toward dst.
-func (v *VM) SentBytesTo(dst int) int64 { return v.sentBytes[dst] }
+func (v *VM) SentBytesTo(dst int) int64 {
+	if q, ok := v.dests[dst]; ok {
+		return q.sentBytes
+	}
+	return 0
+}
 
 // Destinations lists every destination this VM has ever queued traffic
-// toward (used by the hose coordinator to enumerate candidate flows).
+// toward, in first-enqueue order (used by the hose coordinator to
+// enumerate candidate flows).
 func (v *VM) Destinations() []int {
-	out := make([]int, 0, len(v.sentBytes))
-	for d := range v.sentBytes {
-		out = append(out, d)
-	}
-	for d := range v.queuedBytes {
-		if _, seen := v.sentBytes[d]; !seen {
-			out = append(out, d)
+	out := make([]int, 0, len(v.dlist))
+	for _, q := range v.dlist {
+		if q.used {
+			out = append(out, q.dst)
 		}
 	}
 	return out
@@ -168,11 +224,14 @@ func (v *VM) Destinations() []int {
 // (destination unconstrained pending coordination).
 func (v *VM) SetDestRate(now int64, dst int, rate float64) {
 	if rate <= 0 {
-		delete(v.dst, dst)
+		if q, ok := v.dests[dst]; ok {
+			q.bucket = nil
+		}
 		return
 	}
-	if b, ok := v.dst[dst]; ok {
-		b.SetRate(now, rate)
+	q := v.dest(dst)
+	if q.bucket != nil {
+		q.bucket.SetRate(now, rate)
 		return
 	}
 	// Per-destination buckets carry the full burst allowance: bursts
@@ -181,23 +240,34 @@ func (v *VM) SetDestRate(now int64, dst int, rate float64) {
 	if burst < v.g.MTUBytes {
 		burst = v.g.MTUBytes
 	}
-	v.dst[dst] = NewTokenBucket(rate, burst, now)
+	q.bucket = NewTokenBucket(rate, burst, now)
 }
 
 // DestRate reports the installed per-destination rate toward dst
 // (0 if no bucket is installed).
 func (v *VM) DestRate(dst int) float64 {
-	if b, ok := v.dst[dst]; ok {
-		return b.Rate()
+	if q, ok := v.dests[dst]; ok && q.bucket != nil {
+		return q.bucket.Rate()
 	}
 	return 0
 }
 
 // Enqueue admits one data packet into its destination queue. The
 // release stamp is assigned later, when the scheduler commits the
-// packet in chronological order.
+// packet in chronological order. The frame comes from the VM's
+// freelist when a consumer has handed one back through Recycle.
 func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) *Packet {
-	p := &Packet{
+	p := v.free
+	if p == nil {
+		// Carve a chunk: a cold start allocates once per 64 frames.
+		chunk := make([]Packet, 64)
+		for i := range chunk[:len(chunk)-1] {
+			chunk[i].next = &chunk[i+1]
+		}
+		p = &chunk[0]
+	}
+	v.free = p.next
+	*p = Packet{
 		Bytes:   bytes,
 		SrcVM:   v.ID,
 		DstVM:   dstVM,
@@ -207,12 +277,25 @@ func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) *Packet {
 		seq:     v.seq,
 	}
 	v.seq++
-	v.queues[dstVM] = append(v.queues[dstVM], p)
+	q := v.dest(dstVM)
+	q.push(p)
+	q.used = true
+	q.queuedBytes += int64(bytes)
 	v.queued++
-	v.queuedBytes[dstVM] += int64(bytes)
 	v.queuedTotal += int64(bytes)
 	v.mx.noteQueued(v.queuedTotal)
 	return p
+}
+
+// Recycle hands back a data frame whose batch the caller has finished
+// consuming (every field read, Ref included); Enqueue reuses it. Only
+// the frame's owner may recycle it, and only once: the simulator's
+// batch loop does so after copying Release and Gate onto its wire
+// packet. Frames never recycled are left to the garbage collector.
+func (v *VM) Recycle(p *Packet) {
+	p.Ref = nil
+	p.next = v.free
+	v.free = p
 }
 
 // feasible returns the earliest release for a packet given current
@@ -220,11 +303,11 @@ func (v *VM) Enqueue(now int64, dstVM, bytes int, ref interface{}) *Packet {
 // stage that pushed the release later). A single forward pass is
 // exact: token balances only grow with time, so feasibility at a later
 // stage never invalidates an earlier one.
-func (v *VM) feasible(p *Packet) (int64, uint8) {
+func (v *VM) feasible(q *dstQueue, p *Packet) (int64, uint8) {
 	r := p.enq
 	gate := GateNone
 	n := p.Bytes
-	if b, ok := v.dst[p.DstVM]; ok {
+	if b := q.bucket; b != nil {
 		if f := b.Free(r, n); f > r {
 			r = f
 			gate = GateDest
@@ -246,35 +329,32 @@ func (v *VM) feasible(p *Packet) (int64, uint8) {
 func (v *VM) Schedule(upTo int64) {
 	for v.queued > 0 {
 		bestR := int64(math.MaxInt64)
-		bestDst := 0
+		var best *dstQueue
 		var bestSeq uint64
 		var bestGate uint8
-		found := false
-		for d, q := range v.queues {
-			if len(q) == 0 {
+		for _, q := range v.dlist {
+			h := q.head
+			if h == nil {
 				continue
 			}
-			r, gate := v.feasible(q[0])
-			if !found || r < bestR || (r == bestR && q[0].seq < bestSeq) {
-				found = true
+			r, gate := v.feasible(q, h)
+			if best == nil || r < bestR || (r == bestR && h.seq < bestSeq) {
+				best = q
 				bestR = r
-				bestDst = d
-				bestSeq = q[0].seq
+				bestSeq = h.seq
 				bestGate = gate
 			}
 		}
-		if !found || bestR > upTo {
+		if best == nil || bestR > upTo {
 			break
 		}
-		q := v.queues[bestDst]
-		p := q[0]
-		v.queues[bestDst] = q[1:]
+		p := best.pop()
 		v.queued--
-		v.queuedBytes[bestDst] -= int64(p.Bytes)
-		v.sentBytes[bestDst] += int64(p.Bytes)
+		best.queuedBytes -= int64(p.Bytes)
+		best.sentBytes += int64(p.Bytes)
 		v.queuedTotal -= int64(p.Bytes)
 		// Commit through the chain at the final release time.
-		if b, ok := v.dst[p.DstVM]; ok {
+		if b := best.bucket; b != nil {
 			b.Commit(bestR, p.Bytes)
 		}
 		v.avg.Commit(bestR, p.Bytes)
@@ -306,11 +386,11 @@ func (v *VM) NextEventTime() (int64, bool) {
 		best = v.ready[0].Release
 		ok = true
 	}
-	for _, q := range v.queues {
-		if len(q) == 0 {
+	for _, q := range v.dlist {
+		if q.head == nil {
 			continue
 		}
-		if r, _ := v.feasible(q[0]); r < best {
+		if r, _ := v.feasible(q, q.head); r < best {
 			best = r
 			ok = true
 		}

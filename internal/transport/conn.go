@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sort"
-
 	"repro/internal/netsim"
 )
 
@@ -26,6 +24,11 @@ type Endpoint struct {
 
 	conns map[int]*Conn     // by remote VM (sender side)
 	rcv   map[int]*rcvState // by remote VM (receiver side)
+
+	// freeSegs recycles segments: emit and sendAck draw from the
+	// sending endpoint's list, Fabric.deliver returns each segment to
+	// the receiving endpoint's list once its handler is done.
+	freeSegs *segment
 
 	// OnMessage, if set, is invoked at the receiver exactly once per
 	// message, when the message's final byte has arrived in order.
@@ -95,11 +98,11 @@ type Conn struct {
 	markedBytes float64
 	windowEnd   int64
 
-	// RTT/RTO.
+	// RTT/RTO. rtoTimer runs onRTO on the sender host's island sim,
+	// like every other touch of this connection's state.
 	srtt, rttvar float64 // ns
 	rto          int64
-	rtoArmed     bool
-	rtoGen       uint64
+	rtoTimer     *netsim.Timer
 	backoff      int64
 
 	// Messages in flight or queued.
@@ -113,7 +116,7 @@ type Conn struct {
 }
 
 func newConn(e *Endpoint, dstVM int) *Conn {
-	return &Conn{
+	c := &Conn{
 		e:        e,
 		dstVM:    dstVM,
 		cwnd:     float64(e.opt.InitCwndSegs * e.opt.MSS),
@@ -121,6 +124,8 @@ func newConn(e *Endpoint, dstVM int) *Conn {
 		rto:      e.opt.MinRTONs,
 		backoff:  1,
 	}
+	c.rtoTimer = e.sim.NewTimer(c.onRTO)
+	return c
 }
 
 func (c *Conn) sendMessage(size int, done func(*Message)) *Message {
@@ -165,12 +170,11 @@ func (c *Conn) emit(seq int64, n int) {
 	if !ok {
 		return
 	}
-	seg := &segment{
-		peerVM: c.e.VMID,
-		seq:    seq,
-		length: n,
-		sentAt: c.e.sim.Now(),
-	}
+	seg := c.e.allocSegment()
+	seg.peerVM = c.e.VMID
+	seg.seq = seq
+	seg.length = n
+	seg.sentAt = c.e.sim.Now()
 	// Attach framing for the message this segment belongs to.
 	for _, m := range c.msgs {
 		if seq >= m.start && seq < m.end {
@@ -180,16 +184,16 @@ func (c *Conn) emit(seq int64, n int) {
 			break
 		}
 	}
-	f.send(c.e, &netsim.Packet{
-		Src:        c.e.HostID,
-		Dst:        dst.HostID,
-		SrcVM:      c.e.VMID,
-		DstVM:      c.dstVM,
-		Size:       n + HeaderBytes,
-		Prio:       c.e.opt.Prio,
-		ECNCapable: c.e.opt.Variant == DCTCP,
-		Payload:    seg,
-	})
+	p := c.e.sim.AllocPacket()
+	p.Src = c.e.HostID
+	p.Dst = dst.HostID
+	p.SrcVM = c.e.VMID
+	p.DstVM = c.dstVM
+	p.Size = n + HeaderBytes
+	p.Prio = c.e.opt.Prio
+	p.ECNCapable = c.e.opt.Variant == DCTCP
+	p.Payload = seg
+	f.send(c.e, p)
 	c.SegmentsOut++
 }
 
@@ -324,27 +328,18 @@ func (c *Conn) completeMessages(now int64) {
 	}
 }
 
-// armRTO (re)schedules the retransmission timer.
+// armRTO (re)arms the retransmission timer, or stops it when nothing
+// is in flight.
 func (c *Conn) armRTO() {
 	if c.sndUna >= c.sndNxt {
-		c.rtoArmed = false
+		c.rtoTimer.Stop()
 		return
 	}
-	c.rtoGen++
-	gen := c.rtoGen
-	c.rtoArmed = true
 	timeout := c.rto * c.backoff
 	if max := int64(4_000_000_000); timeout > max {
 		timeout = max
 	}
-	// The retransmission timer lives on the sender host's island sim,
-	// like every other touch of this connection's state.
-	c.e.sim.After(timeout, func() {
-		if c.rtoGen != gen || !c.rtoArmed {
-			return
-		}
-		c.onRTO()
-	})
+	c.rtoTimer.Reset(c.e.sim.Now() + timeout)
 }
 
 // onRTO handles a retransmission timeout: go-back-N.
@@ -374,15 +369,4 @@ func (c *Conn) onRTO() {
 		c.backoff *= 2
 	}
 	c.trySend()
-}
-
-// sortedOOO returns buffered out-of-order ranges in seq order (test
-// helper).
-func (r *rcvState) sortedOOO() []int64 {
-	keys := make([]int64, 0, len(r.ooo))
-	for k := range r.ooo {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/netsim"
 )
@@ -70,7 +70,7 @@ func (e *Endpoint) onData(p *netsim.Packet, seg *segment) {
 					done = append(done, id)
 				}
 			}
-			sort.Slice(done, func(i, j int) bool { return done[i] < done[j] })
+			slices.Sort(done)
 			for _, id := range done {
 				pm := rs.pending[id]
 				delete(rs.pending, id)
@@ -96,22 +96,44 @@ func (e *Endpoint) sendAck(data *segment, rs *rcvState, ce bool) {
 	if !ok {
 		return
 	}
-	ack := &segment{
-		peerVM: e.VMID,
-		isAck:  true,
-		ackSeq: rs.rcvNxt,
-		ece:    ce,
-		sentAt: data.sentAt, // echo for RTT sampling
+	ack := e.allocSegment()
+	ack.peerVM = e.VMID
+	ack.isAck = true
+	ack.ackSeq = rs.rcvNxt
+	ack.ece = ce
+	ack.sentAt = data.sentAt // echo for RTT sampling
+	p := e.sim.AllocPacket()
+	p.Src = e.HostID
+	p.Dst = peer.HostID
+	p.SrcVM = e.VMID
+	p.DstVM = data.peerVM
+	p.Size = AckBytes
+	p.Prio = e.opt.Prio
+	p.Payload = ack
+	f.send(e, p)
+}
+
+// allocSegment returns a zeroed segment from the endpoint's freelist,
+// carving a chunk when it runs dry so a cold start allocates once per
+// 64 segments instead of once each.
+func (e *Endpoint) allocSegment() *segment {
+	seg := e.freeSegs
+	if seg == nil {
+		chunk := make([]segment, 64)
+		for i := range chunk[:len(chunk)-1] {
+			chunk[i].next = &chunk[i+1]
+		}
+		seg = &chunk[0]
 	}
-	f.send(e, &netsim.Packet{
-		Src:     e.HostID,
-		Dst:     peer.HostID,
-		SrcVM:   e.VMID,
-		DstVM:   data.peerVM,
-		Size:    AckBytes,
-		Prio:    e.opt.Prio,
-		Payload: ack,
-	})
+	e.freeSegs = seg.next
+	*seg = segment{}
+	return seg
+}
+
+// freeSegment returns a delivered segment to the endpoint's freelist.
+func (e *Endpoint) freeSegment(seg *segment) {
+	seg.next = e.freeSegs
+	e.freeSegs = seg
 }
 
 // BytesReceived reports in-order payload bytes received from a peer VM.

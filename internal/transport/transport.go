@@ -114,6 +114,16 @@ func (m *Message) Latency() int64 { return m.Completed - m.Submitted }
 // connection's sender state is only ever touched by its own island's
 // worker (or at epoch barriers, for SendMessage calls scheduled on the
 // global loop).
+//
+// Packets and segments are recycled, so the steady-state data path
+// allocates nothing. Every data segment and ack rides a packet taken
+// from the sending host's Sim.AllocPacket, with its segment from the
+// sending endpoint's freelist; deliver hands both back, the packet to
+// the receiving island's arena (Sim.FreePacket) and the segment to the
+// receiving endpoint, once onData/onAck return. The island engine
+// already moves arena packets across islands this way. Packets lost
+// in the network are left to the garbage collector. The fabric does
+// its own freeing, so its hosts must leave netsim's FreeOnDeliver off.
 type Fabric struct {
 	nw        *netsim.Network
 	endpoints map[int]*Endpoint
@@ -169,7 +179,10 @@ func (f *Fabric) send(e *Endpoint, p *netsim.Packet) {
 	e.host.Send(p)
 }
 
-// deliver demuxes an arriving packet to its destination endpoint.
+// deliver demuxes an arriving packet to its destination endpoint, then
+// recycles it: the handlers retain neither the packet nor its segment,
+// so the packet goes back to the receiving island's arena and the
+// segment to the receiving endpoint's freelist.
 func (f *Fabric) deliver(p *netsim.Packet) {
 	e, ok := f.endpoints[p.DstVM]
 	if !ok {
@@ -183,9 +196,11 @@ func (f *Fabric) deliver(p *netsim.Packet) {
 		if c, ok2 := e.conns[seg.peerVM]; ok2 {
 			c.onAck(seg)
 		}
-		return
+	} else {
+		e.onData(p, seg)
 	}
-	e.onData(p, seg)
+	e.freeSegment(seg)
+	e.sim.FreePacket(p)
 }
 
 // segment is the transport payload riding in netsim packets.
@@ -194,8 +209,8 @@ type segment struct {
 	seq    int64
 	length int
 	sentAt int64 // original transmission time, echoed for RTT sampling
-	isAck  bool
 	ackSeq int64
+	isAck  bool
 	ece    bool
 
 	// Message framing: the message this segment belongs to, its final
@@ -204,4 +219,6 @@ type segment struct {
 	msgID   uint64
 	msgEnd  int64
 	msgSize int
+
+	next *segment // freelist link (see Endpoint.freeSegs)
 }
