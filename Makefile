@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: all ci vet build test test-race test-faults test-parallel test-incidents test-crash soak bench-placement bench-paced bench-obs bench-telemetry bench-introspect bench-incident bench-runtime bench-wal regress baselines
+.PHONY: all ci vet build test test-race test-admission test-faults test-parallel test-incidents test-crash soak bench-placement bench-paced bench-obs bench-telemetry bench-introspect bench-incident bench-runtime bench-wal regress baselines
 
 all: vet build test
 
 # Everything CI runs, in order. The race passes cover the packages with
 # concurrent hot paths: the parallel placement scope search (test-race),
 # the sharded obs histograms and the pacer.
-ci: vet build test test-race test-faults test-parallel test-incidents test-crash
+ci: vet build test test-race test-admission test-faults test-parallel test-incidents test-crash
 	$(GO) test -race ./internal/obs/... ./internal/pacer/...
 
 vet:
@@ -24,6 +24,15 @@ test:
 # pristine-scope result, and the netcal primitives it leans on).
 test-race:
 	$(GO) test -race ./internal/placement/... ./internal/netcal/...
+
+# The admission-decision gates under the race detector: the structural
+# certificate's soundness tests (queue-bound monotonicity, every layout
+# of tiny trees enumerated, the beyond-rack case), the reject-reason
+# counters, and every gate proving the fast path decides as the
+# reference path does (fast-path, pristine- and occupied-scope and
+# journal equivalence, worker-count determinism).
+test-admission:
+	$(GO) test -race -run 'Monotone|StructuralReject|RejectReason|Equivalence|Journal|WorkerCountDeterminism' ./internal/placement/
 
 # The fault-injection and recovery suite: the injector itself (with the
 # race detector — the injector shares netsim with concurrent recovery

@@ -46,16 +46,12 @@ const (
 	maxRecordLen = 1 << 20
 )
 
-// Decoder sentinel errors.
-var (
-	// ErrTornTail reports a record that stops mid-frame: the bytes are
-	// a prefix of a valid record (a crash mid-write), so recovery
-	// truncates here and keeps everything before.
-	ErrTornTail = errors.New("durable: torn record tail")
-	// ErrCorrupt reports a framed record whose CRC or payload does not
-	// parse: the log is damaged at this point and recovery truncates.
-	ErrCorrupt = errors.New("durable: corrupt record")
-)
+// ErrTornTail reports a record that stops mid-frame: the bytes are a
+// prefix of a valid record (a crash mid-write), so recovery truncates
+// here and keeps everything before. Any other decode error means a
+// framed record whose CRC or payload does not parse: the log is damaged
+// at that point and recovery truncates too, but counts it as corrupt.
+var ErrTornTail = errors.New("durable: torn record tail")
 
 // Record is one decoded WAL record: a sequence number plus the
 // placement mutation it logs.
@@ -118,8 +114,9 @@ func appendServers(buf []byte, servers []int) []byte {
 
 // decodeRecord decodes the record at the front of b. It returns the
 // record and the number of bytes consumed, or ErrTornTail (b ends
-// mid-frame) / ErrCorrupt (CRC or payload invalid). It never panics on
-// arbitrary input and never allocates beyond the record's own fields.
+// mid-frame) or a "corrupt record" error (CRC or payload invalid). It
+// never panics on arbitrary input and never allocates beyond the
+// record's own fields.
 func decodeRecord(b []byte) (Record, int, error) {
 	if len(b) < recordHeaderLen {
 		return Record{}, 0, ErrTornTail
@@ -127,14 +124,14 @@ func decodeRecord(b []byte) (Record, int, error) {
 	n := binary.LittleEndian.Uint32(b)
 	sum := binary.LittleEndian.Uint32(b[4:])
 	if n > maxRecordLen {
-		return Record{}, 0, fmt.Errorf("%w: claimed length %d", ErrCorrupt, n)
+		return Record{}, 0, fmt.Errorf("durable: corrupt record: claimed length %d", n)
 	}
 	if len(b) < recordHeaderLen+int(n) {
 		return Record{}, 0, ErrTornTail
 	}
 	payload := b[recordHeaderLen : recordHeaderLen+int(n)]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return Record{}, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+		return Record{}, 0, fmt.Errorf("durable: corrupt record: CRC mismatch")
 	}
 	rec, err := decodePayload(payload)
 	if err != nil {
@@ -157,13 +154,13 @@ func decodePayload(p []byte) (Record, error) {
 	case placement.MutFail, placement.MutRestore:
 		rec.Mut.Servers = d.servers()
 	default:
-		return Record{}, fmt.Errorf("%w: unknown op %d", ErrCorrupt, uint8(rec.Mut.Op))
+		return Record{}, fmt.Errorf("durable: corrupt record: unknown op %d", uint8(rec.Mut.Op))
 	}
 	if d.bad {
-		return Record{}, fmt.Errorf("%w: truncated payload", ErrCorrupt)
+		return Record{}, fmt.Errorf("durable: corrupt record: truncated payload")
 	}
 	if len(d.b) != 0 {
-		return Record{}, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.b))
+		return Record{}, fmt.Errorf("durable: corrupt record: %d trailing payload bytes", len(d.b))
 	}
 	return rec, nil
 }

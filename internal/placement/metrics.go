@@ -22,10 +22,15 @@ import (
 //	                                     the tenants the SLO engine
 //	                                     tracks) vs "bulk" (bandwidth
 //	                                     only)
-//	silo_place_rejected_total{reason=}   rejections, reason "no-fit"
-//	                                     (admission control found no
-//	                                     placement) or "invalid" (bad
-//	                                     spec, duplicate tenant)
+//	silo_place_rejected_total{reason=}   rejections, reason "structural"
+//	                                     (the structural certificate
+//	                                     proved no layout can host the
+//	                                     tenant, before any scope
+//	                                     search; fast path only),
+//	                                     "no-fit" (the scope search
+//	                                     found no placement) or
+//	                                     "invalid" (bad spec, duplicate
+//	                                     tenant, failed commit log)
 //	silo_place_path_total{path=}         requests served by the "fast"
 //	                                     (cached-bound) or "reference"
 //	                                     (NoFastPath) admission path
@@ -34,18 +39,19 @@ import (
 // EnableMetrics additionally registers pull-time headroom gauges (see
 // there).
 type Metrics struct {
-	AdmissionUs     *obs.Histogram
-	AcceptedBounded *obs.Counter
-	AcceptedBulk    *obs.Counter
-	RejectedNoFit   *obs.Counter
-	RejectedOther   *obs.Counter
-	FastPath        *obs.Counter
-	RefPath         *obs.Counter
-	Removed         *obs.Counter
-	RecoveryUs      *obs.Histogram
-	Relocated       *obs.Counter
-	Degraded        *obs.Counter
-	Evicted         *obs.Counter
+	AdmissionUs        *obs.Histogram
+	AcceptedBounded    *obs.Counter
+	AcceptedBulk       *obs.Counter
+	RejectedStructural *obs.Counter
+	RejectedNoFit      *obs.Counter
+	RejectedOther      *obs.Counter
+	FastPath           *obs.Counter
+	RefPath            *obs.Counter
+	Removed            *obs.Counter
+	RecoveryUs         *obs.Histogram
+	Relocated          *obs.Counter
+	Degraded           *obs.Counter
+	Evicted            *obs.Counter
 }
 
 // NewMetrics registers the placement metrics. A nil registry returns
@@ -61,6 +67,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"tenant requests admitted", "slo", "delay-bounded"),
 		AcceptedBulk: reg.Counter("silo_place_accepted_total",
 			"tenant requests admitted", "slo", "bulk"),
+		RejectedStructural: reg.Counter("silo_place_rejected_total",
+			"tenant requests rejected", "reason", "structural"),
 		RejectedNoFit: reg.Counter("silo_place_rejected_total",
 			"tenant requests rejected", "reason", "no-fit"),
 		RejectedOther: reg.Counter("silo_place_rejected_total",
@@ -83,8 +91,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 }
 
 // notePlace records one admission request's outcome and latency.
+// structural marks a rejection by the structural certificate;
 // delayBounded classifies the request's SLO class (d > 0).
-func (mx *Metrics) notePlace(elapsed time.Duration, err error, noFastPath, delayBounded bool) {
+func (mx *Metrics) notePlace(elapsed time.Duration, err error, structural, noFastPath, delayBounded bool) {
 	if mx == nil {
 		return
 	}
@@ -94,6 +103,8 @@ func (mx *Metrics) notePlace(elapsed time.Duration, err error, noFastPath, delay
 		mx.AcceptedBounded.Inc()
 	case err == nil:
 		mx.AcceptedBulk.Inc()
+	case structural:
+		mx.RejectedStructural.Inc()
 	case errors.Is(err, ErrRejected):
 		mx.RejectedNoFit.Inc()
 	default:

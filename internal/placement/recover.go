@@ -292,7 +292,7 @@ func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions)
 			OldServers:   old[i].placement.Servers,
 			OldGuarantee: spec.Guarantee,
 		}
-		if pl, err := m.place(spec); err == nil {
+		if pl, _, err := m.place(spec); err == nil {
 			tr.Verdict = VerdictRelocated
 			tr.NewServers = pl.Servers
 			tr.NewGuarantee = spec.Guarantee
@@ -313,7 +313,7 @@ func (m *Manager) Recover(failedServers, failedPorts []int, opts RecoverOptions)
 					continue // rung changes nothing (e.g. d already 0)
 				}
 				tried = dspec.Guarantee
-				if pl, err := m.place(dspec); err == nil {
+				if pl, _, err := m.place(dspec); err == nil {
 					tr.Verdict = VerdictDegraded
 					tr.NewServers = pl.Servers
 					tr.NewGuarantee = dspec.Guarantee

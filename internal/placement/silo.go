@@ -207,20 +207,24 @@ func (m *Manager) takeSlot(server int, spec *tenant.Spec) {
 // VM leaves, CPU and memory reset to the configured capacity rather
 // than keep the float residue of the adds and subtracts: a vacant
 // server must offer exactly what an untouched one does (and a pristine
-// rack must answer like any other, see rackPristine).
+// rack must answer like any other, see rackPristine). Residue never
+// lifts them above capacity either, so no server can take more VMs
+// than a vacant one (structuralReject relies on it).
 func (m *Manager) freeSlot(server int, spec *tenant.Spec) {
 	m.ix.free(server)
 	vacant := m.ix.vacant(server)
 	if m.freeCPU != nil {
-		m.freeCPU[server] += spec.CPUPerVM
+		c := m.tree.Config().CPUPerServer
+		m.freeCPU[server] = min(m.freeCPU[server]+spec.CPUPerVM, c)
 		if vacant {
-			m.freeCPU[server] = m.tree.Config().CPUPerServer
+			m.freeCPU[server] = c
 		}
 	}
 	if m.freeMem != nil {
-		m.freeMem[server] += spec.MemoryPerVM
+		c := m.tree.Config().MemoryPerServer
+		m.freeMem[server] = min(m.freeMem[server]+spec.MemoryPerVM, c)
 		if vacant {
-			m.freeMem[server] = m.tree.Config().MemoryPerServer
+			m.freeMem[server] = c
 		}
 	}
 }
@@ -311,11 +315,12 @@ func (m *Manager) portTouched(pid int) {
 // one branch (no clock reads).
 func (m *Manager) Place(spec tenant.Spec) (*tenant.Placement, error) {
 	if m.mx == nil {
-		return m.place(spec)
+		pl, _, err := m.place(spec)
+		return pl, err
 	}
 	start := time.Now()
-	pl, err := m.place(spec)
-	m.mx.notePlace(time.Since(start), err, m.opts.NoFastPath, spec.Guarantee.DelayBound > 0)
+	pl, structural, err := m.place(spec)
+	m.mx.notePlace(time.Since(start), err, structural, m.opts.NoFastPath, spec.Guarantee.DelayBound > 0)
 	return pl, err
 }
 
@@ -323,33 +328,35 @@ func (m *Manager) Place(spec tenant.Spec) (*tenant.Placement, error) {
 // scope — single server, then each rack, each pod, then the whole
 // datacenter — and within a scope first packs greedily and then, if
 // the packed layout violates a queuing constraint, retries with an
-// even spread (paper Figure 5: 3/3/3 beats 4/4/1).
-func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
+// even spread (paper Figure 5: 3/3/3 beats 4/4/1). The bool reports a
+// rejection decided by structuralReject, before any scope search.
+func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, bool, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if _, dup := m.admitted[spec.ID]; dup {
-		return nil, fmt.Errorf("placement: tenant %d already admitted", spec.ID)
+		return nil, false, fmt.Errorf("placement: tenant %d already admitted", spec.ID)
 	}
 	if spec.Class == tenant.ClassBestEffort {
 		// Best-effort tenants bypass network admission (paper §4.4);
 		// they ride the low priority class and only consume slots.
-		return m.placeBestEffort(spec)
+		pl, err := m.placeBestEffort(spec)
+		return pl, false, err
 	}
 
-	servers := m.findPlacement(&spec)
+	servers, structural := m.findPlacement(&spec)
 	if servers == nil {
 		if err := m.logMutation(&Mutation{Op: MutReject, TenantID: spec.ID}); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		m.rejectedCount++
 		if m.journal != nil {
 			m.journal.record(m.explainReject(spec))
 		}
-		return nil, fmt.Errorf("%w: tenant %q (%d VMs)", ErrRejected, spec.Name, spec.VMs)
+		return nil, structural, fmt.Errorf("%w: tenant %q (%d VMs)", ErrRejected, spec.Name, spec.VMs)
 	}
 	if err := m.logMutation(&Mutation{Op: MutPlace, Spec: spec, Servers: servers}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	pl := &tenant.Placement{Spec: spec, Servers: servers}
 	contribs := m.contributions(&spec, servers)
@@ -367,7 +374,7 @@ func (m *Manager) place(spec tenant.Spec) (*tenant.Placement, error) {
 	}
 	m.admitted[spec.ID] = &admittedTenant{placement: pl, contribs: contribs}
 	m.acceptedCount++
-	return pl, nil
+	return pl, false, nil
 }
 
 // Remove implements Algorithm.
@@ -457,6 +464,9 @@ type reqMemo struct {
 	// uniform within each family, so one verdict covers every such
 	// server.
 	emptyOK [3][]bool
+	// limit is the most VMs of the tenant any one server can take: a
+	// vacant server's slot, CPU and memory cap, at most n.
+	limit int
 	// vacantCap[span] is maxVMsOnServer for any server of a pristine
 	// rack: no traffic on its ports and its full slots, CPU and memory
 	// free. When it is 0, packs step over pristine racks whole.
@@ -498,10 +508,10 @@ func (m *Manager) newReqMemo(spec *tenant.Spec) *reqMemo {
 				queueBoundFast(m.portRate[downID], &empty, c) <= m.portCap[downID]+1e-12)
 		}
 	}
-	limit := min(m.resourceCap(spec, cfg.SlotsPerServer, cfg.CPUPerServer, cfg.MemoryPerServer), n)
+	memo.limit = min(m.resourceCap(spec, cfg.SlotsPerServer, cfg.CPUPerServer, cfg.MemoryPerServer), n)
 	for span := scopeRack; span <= scopeDC; span++ {
 		memo.vacantCap[span] = 0
-		for k := limit; k >= 1; k-- {
+		for k := memo.limit; k >= 1; k-- {
 			if memo.emptyOK[span][k] {
 				memo.vacantCap[span] = k
 				break
@@ -509,6 +519,73 @@ func (m *Manager) newReqMemo(spec *tenant.Spec) *reqMemo {
 		}
 	}
 	return memo
+}
+
+// certSlack pads certOverrun: a port counts as overrun only when its
+// bound on an empty port passes the capacity by more than this share of
+// it, so float rounding in the closed-form bound can never turn a
+// certified overrun into a pass on an occupied port.
+const certSlack = 1e-9
+
+// certOverrun reports whether contribution c overruns port pid's queue
+// capacity on every state of the port, and with any larger ingress cap
+// or inflation, judged from the empty port alone. That holds when the
+// closed form is the exact bound of c's curve, which every aggregate
+// containing a larger curve can only exceed. It is not exact when c's
+// peak does not exceed its rate: the closed form then bounds c as a
+// plain token bucket, which overstates it, and added traffic can lower
+// the result. Such a c counts only when its rate alone is more than the
+// port can serve.
+func (m *Manager) certOverrun(pid int, c contribution) bool {
+	if c.Peak <= c.Rate {
+		return c.Rate > m.portRate[pid]
+	}
+	var empty portState
+	return queueBoundFast(m.portRate[pid], &empty, c) > m.portCap[pid]*(1+certSlack)+1e-12
+}
+
+// structuralReject certifies, from the memo alone, that no layout at any
+// scope can host the tenant on any state of the tree, so findPlacement
+// may reject it without a scope search. It needs limit < n: then every
+// layout puts 1 ≤ k ≤ limit VMs on some server, since no server takes
+// more than a vacant one (occupied servers have fewer free slots, and
+// their free CPU and memory never exceed capacity). At that server
+// layoutValid checks the NIC-up contribution, which is exactly
+// memo.upC[k], and a ToR-down contribution that dominates one of two
+// floors, because cutContribution only grows with the ingress cap and
+// the inflation:
+//   - rack-local layouts feed the ToR from at least ceil((n−k)/limit)
+//     other servers of the rack, at rack-span inflation;
+//   - layouts beyond the rack feed it through the pod downlink, at
+//     pod-span inflation or more.
+//
+// So when for every k the NIC-up check, or the ToR-down check at both
+// floors, fails on an empty port by certOverrun, layoutValid fails for
+// every layout.
+func (m *Manager) structuralReject(spec *tenant.Spec, memo *reqMemo) bool {
+	n, limit := spec.VMs, memo.limit
+	if limit >= n {
+		return false
+	}
+	g := spec.Guarantee
+	link := m.tree.Config().LinkBps
+	podDownRate := m.tree.PodDownPort(0).RateBps
+	rackInfl := m.inflation(scopeRack, topology.LevelRack, topology.Down)
+	podInfl := m.inflation(scopePod, topology.LevelRack, topology.Down)
+	upID := m.tree.ServerUpPortID(0)
+	downID := m.tree.RackDownPortID(0)
+	for k := 1; k <= limit; k++ {
+		if m.certOverrun(upID, memo.upC[k]) {
+			continue
+		}
+		others := (n - k + limit - 1) / limit
+		if m.certOverrun(downID, m.cutContribution(n-k, n, g, float64(others)*link, rackInfl)) &&
+			m.certOverrun(downID, m.cutContribution(n-k, n, g, podDownRate, podInfl)) {
+			continue
+		}
+		return false
+	}
+	return true
 }
 
 // searchScratch is one scope-search worker's reusable buffers: the
@@ -519,8 +596,9 @@ type searchScratch struct {
 }
 
 // findPlacement searches scopes in height order and returns the chosen
-// server per VM, or nil.
-func (m *Manager) findPlacement(spec *tenant.Spec) []int {
+// server per VM, or nil; the bool reports a nil decided by
+// structuralReject before the scope search.
+func (m *Manager) findPlacement(spec *tenant.Spec) ([]int, bool) {
 	g := spec.Guarantee
 	// Constraint 2 pre-check per scope height: the worst path inside a
 	// scope has a fixed queue-capacity sum; scopes whose sum exceeds d
@@ -546,7 +624,7 @@ func (m *Manager) findPlacement(spec *tenant.Spec) []int {
 					for i := range servers {
 						servers[i] = s
 					}
-					return servers
+					return servers, false
 				}
 			}
 		}
@@ -555,6 +633,10 @@ func (m *Manager) findPlacement(spec *tenant.Spec) []int {
 	var memo *reqMemo
 	if !m.opts.NoFastPath {
 		memo = m.newReqMemo(spec)
+		// The reference path keeps the full search that proves this.
+		if m.structuralReject(spec, memo) {
+			return nil, true
+		}
 	}
 	// Port-headroom skipping is sound only for tenants that put
 	// nonzero traffic on the network (n >= 2: every hosting server
@@ -580,7 +662,7 @@ func (m *Manager) findPlacement(spec *tenant.Spec) []int {
 			return m.tryScope(spec, memo, sc, free, lo, hi, scopeRack)
 		})
 		if servers != nil {
-			return servers
+			return servers, false
 		}
 	}
 	// Scope 2: single pod.
@@ -599,19 +681,17 @@ func (m *Manager) findPlacement(spec *tenant.Spec) []int {
 			return m.tryScope(spec, memo, sc, free, slo, shi, scopePod)
 		})
 		if servers != nil {
-			return servers
+			return servers, false
 		}
 	}
 	// Scope 3: whole datacenter.
 	if m.scopeDelayOK(delayBudget, scopeDC) {
 		if useHeadroom && bw > m.head.dcMax+headroomSlack {
-			return nil
+			return nil, false
 		}
-		if servers := m.tryScope(spec, memo, m.scratch[0], m.ix.totalFree, 0, m.tree.Servers(), scopeDC); servers != nil {
-			return servers
-		}
+		return m.tryScope(spec, memo, m.scratch[0], m.ix.totalFree, 0, m.tree.Servers(), scopeDC), false
 	}
-	return nil
+	return nil, false
 }
 
 // searchFirstFit returns the lowest-index success of eval over count
